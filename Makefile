@@ -1,14 +1,14 @@
 # Developer entry points. `make ci` is the full gate: formatting, vet,
-# build, the test suite under the race detector, the end-to-end smoke run
-# of the CLI tools, and a benchmark-snapshot drift check against the
-# committed baseline. `make bench` regenerates the local snapshot at full
-# scale.
+# build, the test suite under the race detector, the benchmark module's
+# own tests, the end-to-end smoke run of the CLI tools, and a
+# benchmark-snapshot drift check against the committed baseline.
+# `make bench` regenerates the local snapshot at full scale.
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race smoke racesmoke bench benchcheck
+.PHONY: ci fmt vet build test race perfbench-test smoke racesmoke bench benchcheck
 
-ci: fmt vet build race smoke racesmoke benchcheck
+ci: fmt vet build race perfbench-test smoke racesmoke benchcheck
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -27,6 +27,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# perfbench-test runs the benchmark module's tests. perfbench/ is its own
+# Go module, so `go test ./...` at the root skips it; this leg catches an
+# API change that breaks the benchmark build.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # smoke exercises the built binaries end to end on a small deterministic
 # config: the defrag recovery benchmark, the client-cache benchmark (cache
@@ -70,13 +76,13 @@ smoke:
 
 # racesmoke reruns the determinism-sensitive smoke legs on race-built
 # binaries with GORACE=halt_on_error=1: the telemetry-identity pair (two
-# identical runs must produce byte-identical snapshots while the parallel
-# clock domains are active), the full crash-point sweep (every registered
-# point crashed, recovered — journal replay, remount, scrub, repair drain
-# — and verified, with the recovery path under the race detector), the
-# parallel fsck walker on a defrag-aged image (8 scan goroutines under
-# the race detector), and a critical-path walk over a span log. A data
-# race aborts the run instead of scrolling past.
+# identical runs must produce byte-identical snapshots), the full
+# crash-point sweep (every registered point crashed, recovered — journal
+# replay, remount, scrub, repair drain — and verified, with the recovery
+# path under the race detector), the parallel fsck walker on a
+# defrag-aged image (8 scan goroutines under the race detector), and a
+# critical-path walk over a span log. A data race aborts the run instead
+# of scrolling past.
 racesmoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -race -o "$$dir" ./cmd/mifbench ./cmd/miftrace ./cmd/miffsck && \
@@ -91,9 +97,8 @@ racesmoke:
 	echo "racesmoke: ok"
 
 # bench regenerates the full-scale performance snapshot as BENCH_pr8.json,
-# the committed record of the parallel-domains/zero-alloc work. Run it on a
-# quiet machine (simulated metrics are deterministic; only wall_ns varies
-# run to run).
+# the committed record of the zero-alloc work. Run it on a quiet machine
+# (simulated metrics are deterministic; only wall_ns varies run to run).
 bench:
 	$(GO) run ./cmd/mifbench -bench-json BENCH_pr8.json all
 

@@ -83,9 +83,6 @@ func New(total, groupSize int64) *Allocator {
 // Total returns the device size in blocks.
 func (a *Allocator) Total() int64 { return a.total }
 
-// GroupSize returns the allocation-group size in blocks.
-func (a *Allocator) GroupSize() int64 { return a.groupSize }
-
 // Groups returns the number of allocation groups.
 func (a *Allocator) Groups() int { return len(a.groupFree) }
 

@@ -161,7 +161,6 @@ func (fs *FS) repWriteLocked(f *file, stream core.StreamID, blk, count int64) er
 	if err := fs.mdsc.NoteExtentChurn(churn + 1 + after/1024); err != nil {
 		return err
 	}
-	f.extents = after
 	fs.extentSeries.Set(fs.tracer.Now(), int64(after))
 	return nil
 }
@@ -308,7 +307,6 @@ func (fs *FS) repCloseLocked(f *file) error {
 					Count:    exts[0].Count,
 				})
 			}
-			f.extents += len(exts)
 			break
 		}
 	}
