@@ -1,14 +1,15 @@
 # Developer entry points. `make ci` is the full gate: formatting, vet,
-# build, the test suite under the race detector, the benchmark module's
-# own tests, the end-to-end smoke run of the CLI tools, and a
-# benchmark-snapshot drift check against the committed baseline.
+# build, the test suite under the race detector, the golden-output check
+# of the experiments' printed results, the benchmark module's own tests,
+# the end-to-end smoke run of the CLI tools, and a benchmark-snapshot
+# drift check against the committed baseline.
 # `make bench` regenerates the local snapshot at full scale.
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race perfbench-test smoke racesmoke bench benchcheck
+.PHONY: ci fmt vet build test race golden perfbench-test smoke racesmoke bench benchcheck
 
-ci: fmt vet build race perfbench-test smoke racesmoke benchcheck
+ci: fmt vet build race golden perfbench-test smoke racesmoke benchcheck
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -27,6 +28,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# golden compares the printed output of the quarter-scale experiments with
+# cmd/mifbench/testdata byte for byte. The race leg skips this test (it is
+# slow under -race), so it runs here on a normal build.
+golden:
+	$(GO) test -count=1 -run TestGoldenOutput ./cmd/mifbench
 
 # perfbench-test runs the benchmark module's tests. perfbench/ is its own
 # Go module, so `go test ./...` at the root skips it; this leg catches an

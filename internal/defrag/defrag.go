@@ -220,9 +220,6 @@ func NewController(srv *ost.Server, cfg Config) *Controller {
 	return c
 }
 
-// Server returns the IO server this controller drives.
-func (c *Controller) Server() *ost.Server { return c.srv }
-
 // SetTimeSource replaces the throttle's simulated-time source.
 func (c *Controller) SetTimeSource(fn func() sim.Ns) {
 	c.mu.Lock()

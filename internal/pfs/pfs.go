@@ -180,8 +180,9 @@ type file struct {
 // FS is one mounted Redbud instance. All client↔server traffic flows
 // through the rpc connection: typed messages to per-server endpoints over
 // a transport that charges the GbE metadata link and the per-OST
-// FibreChannel fabric. The server handles (mds, osts) remain only for
-// measurement and for the server-local defragmentation engine.
+// FibreChannel fabric. The server handles (mds, osts) remain for
+// measurement, for the simulator's own accounting (extent counts, busy
+// times), and for the server-local defragmentation engine.
 type FS struct {
 	cfg Config
 
@@ -670,14 +671,9 @@ type stripePiece struct {
 	count   int64
 }
 
-// stripeRange splits a file-logical range into component pieces.
-func (fs *FS) stripeRange(blk, count int64) []stripePiece {
-	return fs.appendStripeRange(nil, blk, count)
-}
-
-// appendStripeRange is stripeRange appending into dst, so the write/read
-// hot paths can reuse one scratch slice per mount instead of allocating a
-// piece list per operation.
+// appendStripeRange splits a file-logical range into component pieces,
+// appending them to dst, so the write/read hot paths can reuse one scratch
+// slice per mount instead of allocating a piece list per operation.
 func (fs *FS) appendStripeRange(dst []stripePiece, blk, count int64) []stripePiece {
 	out := dst
 	n := int64(len(fs.osts))
@@ -716,7 +712,7 @@ func (fs *FS) Flush() {
 		if fs.rep != nil && fs.rep.Down(i) {
 			continue // no point paying retry timeouts on a suspected server
 		}
-		_, _ = fs.ostc[i].Flush()
+		_ = fs.ostc[i].Flush()
 	}
 }
 
@@ -785,13 +781,22 @@ func (fs *FS) TotalExtents(f *File) (int, error) {
 	return fs.totalExtentsLocked(f.f)
 }
 
+// totalExtentsLocked sums the file's segment counts over its stripe
+// components, read from the IO servers' extent maps. This is the
+// simulator's own accounting, like DataBusyMax, so it sends no RPC. Each
+// component is counted on its OST, or on a replicated mount on its first
+// clean live replica. Callers hold fs.mu.
 func (fs *FS) totalExtentsLocked(f *file) (int, error) {
-	if fs.rep != nil {
-		return fs.repTotalExtentsLocked(f)
-	}
 	total := 0
-	for i := range fs.osts {
-		n, err := fs.ostc[i].ExtentCount(f.objects[i])
+	for c, obj := range f.objects {
+		r := c
+		if fs.rep != nil {
+			var ok bool
+			if r, obj, ok = fs.rep.ReadReplica(f.ino, c); !ok {
+				return 0, fmt.Errorf("pfs: no readable replica for component %d", c)
+			}
+		}
+		n, err := fs.osts[r].ExtentCount(obj)
 		if err != nil {
 			return 0, err
 		}
@@ -844,18 +849,21 @@ func (h *File) Write(stream core.StreamID, blk, count int64) error {
 // the stripe — the uncached write path, also the cache's write-back target.
 // Callers hold fs.mu.
 func (fs *FS) writeThroughLocked(f *file, stream core.StreamID, blk, count int64) error {
-	if fs.rep != nil {
-		return fs.repWriteLocked(f, stream, blk, count)
-	}
 	before, err := fs.totalExtentsLocked(f)
 	if err != nil {
 		return err
 	}
-	pieces := fs.appendStripeRange(fs.stripeScratch[:0], blk, count)
-	fs.stripeScratch = pieces
-	for _, p := range pieces {
-		if err := fs.ostc[p.ostIdx].Write(f.objects[p.ostIdx], stream, p.logical, p.count); err != nil {
+	if fs.rep != nil {
+		if err := fs.repWriteLocked(f, stream, blk, count); err != nil {
 			return err
+		}
+	} else {
+		pieces := fs.appendStripeRange(fs.stripeScratch[:0], blk, count)
+		fs.stripeScratch = pieces
+		for _, p := range pieces {
+			if err := fs.ostc[p.ostIdx].Write(f.objects[p.ostIdx], stream, p.logical, p.count); err != nil {
+				return err
+			}
 		}
 	}
 	after, err := fs.totalExtentsLocked(f)

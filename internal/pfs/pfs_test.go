@@ -81,7 +81,7 @@ func TestStripeRangeMath(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Range spanning several stripe units with an unaligned head.
-	pieces := fs.stripeRange(10, 60) // stripe unit 16, 3 OSTs
+	pieces := fs.appendStripeRange(nil, 10, 60) // stripe unit 16, 3 OSTs
 	var total int64
 	for _, p := range pieces {
 		if p.count <= 0 {

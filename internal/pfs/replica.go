@@ -120,13 +120,12 @@ func (fs *FS) repCreateLocked(f *file) error {
 // repWriteLocked fans each stripe piece out to every live replica of its
 // component. A replica whose write fails at the transport layer is marked
 // down and stale rather than failing the client write; the write errors
-// only when a piece gets no acknowledgement at all. Callers hold fs.mu.
+// only when a piece gets no acknowledgement at all. writeThroughLocked
+// charges the extent churn around it. Callers hold fs.mu.
 func (fs *FS) repWriteLocked(f *file, stream core.StreamID, blk, count int64) error {
-	before, err := fs.repTotalExtentsLocked(f)
-	if err != nil {
-		return err
-	}
-	for _, p := range fs.stripeRange(blk, count) {
+	pieces := fs.appendStripeRange(fs.stripeScratch[:0], blk, count)
+	fs.stripeScratch = pieces
+	for _, p := range pieces {
 		obj, targets, err := fs.rep.WriteTargets(f.ino, p.ostIdx)
 		if err != nil {
 			return err
@@ -148,20 +147,6 @@ func (fs *FS) repWriteLocked(f *file, stream core.StreamID, blk, count int64) er
 				blk, count, p.ostIdx)
 		}
 	}
-	after, err := fs.repTotalExtentsLocked(f)
-	if err != nil {
-		return err
-	}
-	// Same mapping-churn charge as the unreplicated path: units inserted or
-	// merged plus the indexing term.
-	churn := after - before
-	if churn < 0 {
-		churn = -churn
-	}
-	if err := fs.mdsc.NoteExtentChurn(churn + 1 + after/1024); err != nil {
-		return err
-	}
-	fs.extentSeries.Set(fs.tracer.Now(), int64(after))
 	return nil
 }
 
@@ -170,7 +155,9 @@ func (fs *FS) repWriteLocked(f *file, stream core.StreamID, blk, count int64) er
 // fails at the transport layer. Callers hold fs.mu.
 func (fs *FS) repReadLocked(f *file, blk, count int64) error {
 	load := func(i int) sim.Ns { return fs.osts[i].Disk().Stats().BusyNs }
-	for _, p := range fs.stripeRange(blk, count) {
+	pieces := fs.appendStripeRange(fs.stripeScratch[:0], blk, count)
+	fs.stripeScratch = pieces
+	for _, p := range pieces {
 		var tried []int
 		for {
 			r, obj, ok := fs.rep.SteerRead(f.ino, p.ostIdx, tried, load)
@@ -191,32 +178,6 @@ func (fs *FS) repReadLocked(f *file, blk, count int64) error {
 		}
 	}
 	return nil
-}
-
-// repTotalExtentsLocked sums the file's segment counts over one clean
-// replica per component, failing over like a read when a pick turns out to
-// be unreachable. Callers hold fs.mu.
-func (fs *FS) repTotalExtentsLocked(f *file) (int, error) {
-	total := 0
-	for c := range f.objects {
-		for {
-			r, obj, ok := fs.rep.ReadReplica(f.ino, c)
-			if !ok {
-				return 0, fmt.Errorf("pfs: no readable replica for component %d", c)
-			}
-			n, err := fs.ostc[r].ExtentCount(obj)
-			if err == nil {
-				total += n
-				break
-			}
-			if !repSuspect(err) {
-				return 0, err
-			}
-			fs.rep.MarkDown(r)
-			fs.rep.NoteFailover(f.ino, c, r)
-		}
-	}
-	return total, nil
 }
 
 // repTruncateLocked truncates every live copy of every component; members
@@ -468,8 +429,8 @@ func (fs *FS) RepairStep(force bool) (bool, error) {
 	}
 	// Drain both endpoints so the copy's own queued device work never
 	// preempts its next slice.
-	_, _ = fs.ostc[jd.Src].Flush()
-	_, _ = fs.ostc[jd.Dst].Flush()
+	_ = fs.ostc[jd.Src].Flush()
+	_ = fs.ostc[jd.Dst].Flush()
 	fs.rep.AdvanceJob(slice.Count)
 	if fs.rep.JobRemaining() == 0 {
 		return true, fs.repFinishLocked()

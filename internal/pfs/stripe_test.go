@@ -14,10 +14,10 @@ func stripeFixture(su int64, osts int) *FS {
 }
 
 // TestStripeRangePartitionsExactly is the striping property test: for
-// random geometries and ranges, the pieces of stripeRange must map every
-// file-logical block in [blk, blk+count) to exactly the (OST, component
-// block) the round-robin layout dictates — full coverage, no overlap —
-// and whole-file per-OST totals must agree with componentBlocks.
+// random geometries and ranges, the pieces of appendStripeRange must map
+// every file-logical block in [blk, blk+count) to exactly the (OST,
+// component block) the round-robin layout dictates — full coverage, no
+// overlap — and whole-file per-OST totals must agree with componentBlocks.
 func TestStripeRangePartitionsExactly(t *testing.T) {
 	rng := sim.NewRand(0xa11ce)
 	for trial := 0; trial < 500; trial++ {
@@ -36,7 +36,7 @@ func TestStripeRangePartitionsExactly(t *testing.T) {
 		got := make(map[int64]loc)
 		perOST := make([]int64, osts)
 		next := blk
-		for _, p := range fs.stripeRange(blk, count) {
+		for _, p := range fs.appendStripeRange(nil, blk, count) {
 			if p.count <= 0 {
 				t.Fatalf("trial %d (su=%d osts=%d [%d,+%d)): empty piece %+v",
 					trial, su, osts, blk, count, p)
@@ -76,13 +76,13 @@ func TestStripeRangePartitionsExactly(t *testing.T) {
 		total := blk + count
 		wholeFile := stripeFixture(su, osts)
 		fromRange := make([]int64, osts)
-		for _, p := range wholeFile.stripeRange(0, total) {
+		for _, p := range wholeFile.appendStripeRange(nil, 0, total) {
 			fromRange[p.ostIdx] += p.count
 		}
 		var sum int64
 		for i := 0; i < osts; i++ {
 			if cb := wholeFile.componentBlocks(total, i); cb != fromRange[i] {
-				t.Fatalf("trial %d (su=%d osts=%d total=%d): OST %d gets %d blocks by stripeRange, %d by componentBlocks",
+				t.Fatalf("trial %d (su=%d osts=%d total=%d): OST %d gets %d blocks by appendStripeRange, %d by componentBlocks",
 					trial, su, osts, total, i, fromRange[i], cb)
 			}
 			sum += fromRange[i]

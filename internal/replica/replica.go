@@ -529,8 +529,10 @@ func (m *Manager) Members(ino inode.Ino, c int) ([]MemberState, ost.ObjectID, bo
 }
 
 // ReadReplica returns the component's first clean live member — the pick
-// for bookkeeping queries (extent counts, layout summaries) that should
-// not perturb the steering counters. ok is false when none is readable.
+// for bookkeeping that should not perturb the steering counters: the
+// mount reads that server's extent map directly for extent counts, and
+// asks it by RPC for the close-time layout summary. ok is false when none
+// is readable.
 func (m *Manager) ReadReplica(ino inode.Ino, c int) (int, ost.ObjectID, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

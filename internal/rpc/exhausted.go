@@ -44,8 +44,3 @@ func (e *ExhaustedError) Unwrap() error { return e.Cause }
 
 // Is matches the ErrRetriesExhausted sentinel.
 func (e *ExhaustedError) Is(target error) bool { return target == ErrRetriesExhausted }
-
-// Suspect reports whether the failure is evidence the endpoint is
-// unreachable — it always is: the budget only runs out on losses and
-// transient transport failures, never on application errors.
-func (e *ExhaustedError) Suspect() bool { return true }

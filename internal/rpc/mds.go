@@ -20,12 +20,6 @@ func NewMDSEndpoint(addr string, srv *mds.Server) *MDSEndpoint {
 	return &MDSEndpoint{addr: addr, srv: srv, cache: newReplayCache()}
 }
 
-// Addr is the endpoint's address on the transport.
-func (e *MDSEndpoint) Addr() string { return e.addr }
-
-// Server exposes the wrapped server for measurement.
-func (e *MDSEndpoint) Server() *mds.Server { return e.srv }
-
 // SetTraceParent declares the span the server's spans nest under.
 func (e *MDSEndpoint) SetTraceParent(id telemetry.SpanID) { e.srv.SetTraceParent(id) }
 
@@ -155,9 +149,6 @@ type MDSClient struct {
 func NewMDSClient(conn *Conn, addr string) *MDSClient {
 	return &MDSClient{conn: conn, addr: addr}
 }
-
-// Addr returns the endpoint address the client calls.
-func (c *MDSClient) Addr() string { return c.addr }
 
 // Mkdir creates a directory.
 func (c *MDSClient) Mkdir(parent inode.Ino, name string) (inode.Ino, error) {

@@ -7,7 +7,6 @@ import (
 	"redbud/internal/inode"
 	"redbud/internal/ost"
 	"redbud/internal/replica"
-	"redbud/internal/sim"
 )
 
 // Msg is one wire message. WireSize is the number of bytes the message
@@ -598,10 +597,8 @@ func (*ObjFlushReq) RPCOp() Op { return OpObjFlush }
 // WireSize models the piggybacked control message.
 func (*ObjFlushReq) WireSize() int64 { return 0 }
 
-// ObjFlushResp reports the flush's simulated device time.
-type ObjFlushResp struct {
-	Dur sim.Ns
-}
+// ObjFlushResp acknowledges the flush.
+type ObjFlushResp struct{}
 
 // WireSize models the piggybacked control message.
 func (*ObjFlushResp) WireSize() int64 { return 0 }
@@ -639,25 +636,6 @@ type ObjCloseResp struct{}
 
 // WireSize models the piggybacked control message.
 func (*ObjCloseResp) WireSize() int64 { return 0 }
-
-// ObjExtCountReq asks for an object's extent count.
-type ObjExtCountReq struct {
-	ID ost.ObjectID
-}
-
-// RPCOp names the op.
-func (*ObjExtCountReq) RPCOp() Op { return OpObjExtCount }
-
-// WireSize models the piggybacked control message.
-func (*ObjExtCountReq) WireSize() int64 { return 0 }
-
-// ObjExtCountResp carries the extent count.
-type ObjExtCountResp struct {
-	Count int
-}
-
-// WireSize models the piggybacked control message.
-func (*ObjExtCountResp) WireSize() int64 { return 0 }
 
 // ObjExtentsReq asks for an object's extent list.
 type ObjExtentsReq struct {

@@ -5,7 +5,6 @@ import (
 	"redbud/internal/core"
 	"redbud/internal/extent"
 	"redbud/internal/ost"
-	"redbud/internal/sim"
 	"redbud/internal/telemetry"
 )
 
@@ -25,12 +24,6 @@ type OSTEndpoint struct {
 func NewOSTEndpoint(addr string, srv *ost.Server, factory ost.PolicyFactory) *OSTEndpoint {
 	return &OSTEndpoint{addr: addr, srv: srv, factory: factory, cache: newReplayCache()}
 }
-
-// Addr is the endpoint's address on the transport.
-func (e *OSTEndpoint) Addr() string { return e.addr }
-
-// Server exposes the wrapped server for measurement.
-func (e *OSTEndpoint) Server() *ost.Server { return e.srv }
 
 // SetTraceParent declares the span the server's spans nest under.
 func (e *OSTEndpoint) SetTraceParent(id telemetry.SpanID) { e.srv.SetTraceParent(id) }
@@ -77,7 +70,8 @@ func (e *OSTEndpoint) dispatch(req Request) (Msg, error) {
 		}
 		return &ObjFsyncResp{}, nil
 	case *ObjFlushReq:
-		return &ObjFlushResp{Dur: e.srv.Flush()}, nil
+		e.srv.Flush()
+		return &ObjFlushResp{}, nil
 	case *ObjDeleteReq:
 		if err := e.srv.Delete(m.ID); err != nil {
 			return nil, err
@@ -88,12 +82,6 @@ func (e *OSTEndpoint) dispatch(req Request) (Msg, error) {
 			return nil, err
 		}
 		return &ObjCloseResp{}, nil
-	case *ObjExtCountReq:
-		n, err := e.srv.ExtentCount(m.ID)
-		if err != nil {
-			return nil, err
-		}
-		return extCountResp(n), nil
 	case *ObjExtentsReq:
 		exts, err := e.srv.Extents(m.ID)
 		if err != nil {
@@ -123,9 +111,6 @@ type OSTClient struct {
 func NewOSTClient(conn *Conn, addr string, blockBytes int64) *OSTClient {
 	return &OSTClient{conn: conn, addr: addr, blockBytes: blockBytes}
 }
-
-// Addr returns the endpoint address the client calls.
-func (c *OSTClient) Addr() string { return c.addr }
 
 // CreateObject creates an object under the endpoint's placement policy.
 func (c *OSTClient) CreateObject(id ost.ObjectID, sizeHint int64) error {
@@ -184,14 +169,10 @@ func (c *OSTClient) Fsync(id ost.ObjectID) error {
 	return err
 }
 
-// Flush forces all queued device requests, returning the simulated device
-// time.
-func (c *OSTClient) Flush() (sim.Ns, error) {
-	resp, err := call[*ObjFlushResp](c.conn, c.addr, &ObjFlushReq{})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Dur, nil
+// Flush forces all queued device requests.
+func (c *OSTClient) Flush() error {
+	_, err := call[*ObjFlushResp](c.conn, c.addr, &ObjFlushReq{})
+	return err
 }
 
 // Delete removes an object and frees its blocks.
@@ -207,18 +188,6 @@ func (c *OSTClient) CloseObject(id ost.ObjectID) error {
 	_, err := call[*ObjCloseResp](c.conn, c.addr, req)
 	objCloseReqPool.put(req)
 	return err
-}
-
-// ExtentCount returns an object's extent count.
-func (c *OSTClient) ExtentCount(id ost.ObjectID) (int, error) {
-	req := objExtCountReqPool.get()
-	*req = ObjExtCountReq{ID: id}
-	resp, err := call[*ObjExtCountResp](c.conn, c.addr, req)
-	objExtCountReqPool.put(req)
-	if err != nil {
-		return 0, err
-	}
-	return resp.Count, nil
 }
 
 // Extents returns an object's extent list.

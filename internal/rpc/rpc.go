@@ -118,7 +118,6 @@ const (
 	OpObjFlush     Op = "obj-flush"
 	OpObjDelete    Op = "obj-delete"
 	OpObjClose     Op = "obj-close"
-	OpObjExtCount  Op = "obj-extent-count"
 	OpObjExtents   Op = "obj-extents"
 	// OpObjWrittenRuns fetches the maximal runs of written logical blocks
 	// — the copy manifest the re-replication engine repairs from.
