@@ -1,8 +1,9 @@
 # Developer entry points. `make ci` is the full gate: formatting, vet,
 # build, the test suite under the race detector, the golden-output check
 # of the experiments' printed results, the benchmark module's own tests,
-# the end-to-end smoke run of the CLI tools, and a benchmark-snapshot
-# drift check against the committed baseline.
+# the end-to-end smoke run of the CLI tools, and a zero-tolerance drift
+# check of two experiments' benchmark snapshots against committed
+# baselines.
 # `make bench` regenerates the local snapshot at full scale.
 
 GO ?= go
@@ -109,18 +110,17 @@ racesmoke:
 bench:
 	$(GO) run ./cmd/mifbench -bench-json BENCH_pr8.json all
 
-# benchcheck has two legs. Leg 1 replays the fig6a experiment and compares
-# per-metric drift against the committed seed snapshot's fig6a record (the
-# other experiments are reported as missing, which is informational). The
-# simulator is deterministic, so simulated metrics should show zero drift;
-# this leg is warn-only so a legitimate perf change can land together with
-# its baseline refresh without a chicken-and-egg failure. Leg 2 diffs the
-# two committed snapshots — BENCH_seed.json versus BENCH_pr8.json — as a
-# strict gate: the optimization PR must show zero simulated-metric drift,
-# and the wall-clock table reports the measured speedup per experiment.
+# benchcheck replays the fig6a and failover experiments at quarter scale
+# and compares each benchmark snapshot with its committed baseline in
+# cmd/mifbench/testdata at zero tolerance. The simulator is deterministic,
+# so every simulated metric (counters, percentiles, curves, events) must
+# match exactly; only wall-clock time is reported, never gated. A change
+# that moves a simulated result on purpose regenerates the baseline with
+#   go run ./cmd/mifbench -scale 0.25 -bench-json cmd/mifbench/testdata/<exp>.bench.json <exp>
 benchcheck:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir" ./cmd/mifbench && \
-	"$$dir/mifbench" -bench-json "$$dir/b.json" fig6a > /dev/null && \
-	"$$dir/mifbench" compare -warn-only BENCH_seed.json "$$dir/b.json" && \
-	"$$dir/mifbench" compare -wall BENCH_seed.json BENCH_pr8.json
+	for exp in fig6a failover; do \
+		"$$dir/mifbench" -scale 0.25 -bench-json "$$dir/$$exp.json" $$exp > /dev/null && \
+		"$$dir/mifbench" compare -tolerance 0 cmd/mifbench/testdata/$$exp.bench.json "$$dir/$$exp.json" || exit 1; \
+	done

@@ -20,7 +20,6 @@ func runCrashSweep(scale float64) error {
 	_ = scale
 	cfg := workload.DefaultCrashSweepConfig()
 	cfg.Metrics = benchReg
-	cfg.FsckWorkers = fsckWorkers
 	rep, err := workload.RunCrashSweep(cfg)
 	if err != nil {
 		return err

@@ -32,6 +32,7 @@ func TestGoldenOutput(t *testing.T) {
 		{"defrag", runDefrag},
 		{"cache", runCache},
 		{"failover", runFailover},
+		{"crashsweep", runCrashSweep},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", tc.name+".txt"))

@@ -5,7 +5,7 @@
 //
 //	miffsck gen [-layout embedded|normal] [-dirs N] [-files N] [-defrag] [-cache] [-journal-only] [-corrupt kind] <out.img>
 //	miffsck check [-fsck-workers N] <image.img>
-//	miffsck sweep [-seed N] [-points a,b,...] [-fsck-workers N]
+//	miffsck sweep [-seed N] [-points a,b,...]
 //	miffsck bench [-workers 1,2,4,8] [-runs N] [-json out.json] <image.img>
 //
 // gen formats a file system, populates it (creates, layouts, deletions,
@@ -35,7 +35,8 @@
 // registered (crash point, tear mode) pair, each recovered by journal
 // replay, remount, IO-server scrub, and re-replication, then verified.
 // -points restricts the sweep to a comma-separated subset of the
-// registry.
+// registry. Its recovery fscks scan with GOMAXPROCS workers; the report is
+// byte-identical at any width.
 //
 // Exit codes (the fsck contract, asserted by the command's tests):
 //

@@ -95,11 +95,3 @@ func TestCheckCorruptImageFindings(t *testing.T) {
 		t.Fatalf("normal-layout cycle image: exit %d, want 1", got)
 	}
 }
-
-// TestSweepFsckWorkersFlag runs a small sweep with the parallel checker
-// threaded through recovery: the result contract must be unchanged.
-func TestSweepFsckWorkersFlag(t *testing.T) {
-	if got := sweep([]string{"-points", "cache.sync.flush", "-fsck-workers", "8"}); got != 0 {
-		t.Fatalf("parallel-fsck sweep: exit %d, want 0", got)
-	}
-}

@@ -16,14 +16,12 @@ func sweep(args []string) int {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	seed := fs.Uint64("seed", 42, "damage-plan seed (equal seeds render byte-identical reports)")
 	points := fs.String("points", "", "comma-separated crash-point subset (default: full registry)")
-	workers := fs.Int("fsck-workers", 1, "scan-stage worker-pool width for every recovery fsck")
 	fs.Parse(args)
 	if fs.NArg() != 0 {
 		usage()
 	}
 	cfg := workload.DefaultCrashSweepConfig()
 	cfg.Seed = *seed
-	cfg.FsckWorkers = *workers
 	if *points != "" {
 		cfg.Points = strings.Split(*points, ",")
 	}

@@ -19,6 +19,7 @@ package pfs
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 
 	"redbud/internal/alloc"
@@ -83,7 +84,7 @@ func (fs *FS) CrashRecover() (*RecoveryReport, error) {
 	}
 	rep.MdsReclaimed = reclaimed
 	rep.Mdfs = fs.mds.FS().FsckWith(mdfs.FsckOptions{
-		Workers: fs.cfg.FsckWorkers,
+		Workers: runtime.GOMAXPROCS(0),
 		Metrics: fs.cfg.Metrics,
 		Trace:   fs.tracer,
 	})

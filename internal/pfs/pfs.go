@@ -102,8 +102,8 @@ type Config struct {
 	// N-way replica set: writes fan out to all live copies, reads steer to
 	// the least-loaded one (failing over on RPC errors), and a background
 	// re-replication engine restores redundancy after an OST crash. Nil or
-	// RF <= 1 keeps the mount on the unreplicated path, byte-identical to
-	// runs without this field.
+	// RF <= 1 mounts no replica manager: every component has one copy, on
+	// its own OST, and runs are byte-identical to runs without this field.
 	Replication *replica.Config
 	// Crash, when set, attaches a crash-point injector to the mount: the
 	// journal, metadata checkpoint, IO-server write/flush/truncate/migrate
@@ -119,10 +119,6 @@ type Config struct {
 	// Trace, when set, records per-layer request spans on the tracer's
 	// simulated timeline for every operation on the mount.
 	Trace *telemetry.Tracer
-	// FsckWorkers sets the scan-stage worker-pool width for the parallel
-	// metadata fsck that CrashRecover runs after journal replay. Zero or
-	// one means serial; the report is byte-identical at any width.
-	FsckWorkers int
 }
 
 // MiF returns the full MiF system: on-demand preallocation and embedded
@@ -200,6 +196,12 @@ type FS struct {
 	files   map[inode.Ino]*file
 	nextObj uint64
 
+	// solo lists each component's only copy on an unreplicated mount —
+	// component c lives on OST c — and soloSets the same copies as replica
+	// sets, built once so the copy helpers never allocate.
+	solo     []replica.MemberState
+	soloSets [][]int
+
 	// stripeScratch is the reusable stripe-piece list of the write/read
 	// paths, touched only under fs.mu.
 	stripeScratch []stripePiece
@@ -238,8 +240,14 @@ func New(cfg Config) (*FS, error) {
 		conn:    rpc.NewConn(cfg.RPC),
 		files:   make(map[inode.Ino]*file),
 	}
+	fs.solo = make([]replica.MemberState, cfg.OSTs)
+	fs.soloSets = make([][]int, cfg.OSTs)
+	ids := make([]int, cfg.OSTs)
 	for i := 0; i < cfg.OSTs; i++ {
 		fs.osts = append(fs.osts, ost.NewServer(i, cfg.OST))
+		ids[i] = i
+		fs.solo[i].OST = i
+		fs.soloSets[i] = ids[i : i+1]
 	}
 	if cfg.Crash != nil {
 		srv.FS().Store().SetCrashInjector(cfg.Crash)
@@ -541,31 +549,60 @@ func (fs *FS) Create(parent inode.Ino, name string, sizeHintBlocks int64) (*File
 		return nil, err
 	}
 	f := &file{ino: ino, sizeHint: sizeHintBlocks}
+	// Each component's copies: its own OST, or on a replicated mount the
+	// set the MDS places from the client's capacity and load observations.
+	sets := fs.soloSets
 	if fs.rep != nil {
-		if err := fs.repCreateLocked(f); err != nil {
+		if sets, err = fs.mdsc.PlaceReplicas(ino, len(fs.osts), fs.rep.RF(), fs.repPlaceInputsLocked()); err != nil {
 			return nil, err
 		}
-		fs.files[ino] = f
-		return &File{fs: fs, f: f, parent: parent, name: name}, nil
 	}
 	perOST := fs.componentSizeHint(sizeHintBlocks)
 	for range fs.ostc {
 		fs.nextObj++
 		f.objects = append(f.objects, ost.ObjectID(fs.nextObj))
 	}
-	for i := range fs.osts {
-		if err := fs.ostc[i].CreateObject(f.objects[i], perOST); err != nil {
-			return nil, err
+	// On a replicated mount, a copy whose server fails the create at the
+	// transport layer is skipped and starts stale (the repair engine builds
+	// it); the create succeeds while every component has at least one copy.
+	for c, set := range sets {
+		acks := 0
+		for _, r := range set {
+			if fs.downLocked(r) {
+				continue
+			}
+			if err := fs.ostc[r].CreateObject(f.objects[c], perOST); err != nil {
+				if fs.skipCopyLocked(err, r) {
+					continue
+				}
+				return nil, err
+			}
+			acks++
+		}
+		if acks == 0 {
+			return nil, fmt.Errorf("pfs: create: no live replica for component %d", c)
+		}
+		if fs.rep != nil {
+			fs.rep.Add(ino, c, f.objects[c], set)
 		}
 	}
 	if fs.cfg.Policy == PolicyStatic && sizeHintBlocks > 0 {
-		for i := range fs.osts {
-			n := fs.componentBlocks(sizeHintBlocks, i)
+		for c, obj := range f.objects {
+			n := fs.componentBlocks(sizeHintBlocks, c)
 			if n == 0 {
 				continue
 			}
-			if err := fs.ostc[i].Fallocate(f.objects[i], core.StreamID{}, n); err != nil {
-				return nil, err
+			for _, m := range fs.copiesLocked(f.ino, c) {
+				if m.Down || m.Stale {
+					continue
+				}
+				if err := fs.ostc[m.OST].Fallocate(obj, core.StreamID{}, n); err != nil {
+					if fs.skipCopyLocked(err, m.OST) {
+						fs.rep.MarkStale(ino, c, m.OST)
+						continue
+					}
+					return nil, err
+				}
 			}
 		}
 	}
@@ -619,16 +656,20 @@ func (fs *FS) Delete(parent inode.Ino, name string) error {
 	if err := fs.flushFileLocked(f, "delete-barrier", sp); err != nil {
 		return err
 	}
-	if fs.rep != nil {
-		if err := fs.repDeleteLocked(f); err != nil {
-			return err
-		}
-	} else {
-		for i := range fs.osts {
-			if err := fs.ostc[i].Delete(f.objects[i]); err != nil {
+	// Copies on down servers are orphaned (the revived server's object is
+	// garbage the simulator tolerates).
+	for c, obj := range f.objects {
+		for _, m := range fs.copiesLocked(ino, c) {
+			if m.Down {
+				continue
+			}
+			if _, err := fs.maintainErrLocked(fs.ostc[m.OST].Delete(obj), m.OST); err != nil {
 				return err
 			}
 		}
+	}
+	if fs.rep != nil {
+		fs.rep.Remove(ino)
 	}
 	if fs.cache != nil {
 		fs.cache.Drop(cache.FileID(ino))
@@ -709,7 +750,7 @@ func (fs *FS) Flush() {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	for i := range fs.osts {
-		if fs.rep != nil && fs.rep.Down(i) {
+		if fs.downLocked(i) {
 			continue // no point paying retry timeouts on a suspected server
 		}
 		_ = fs.ostc[i].Flush()
@@ -784,17 +825,13 @@ func (fs *FS) TotalExtents(f *File) (int, error) {
 // totalExtentsLocked sums the file's segment counts over its stripe
 // components, read from the IO servers' extent maps. This is the
 // simulator's own accounting, like DataBusyMax, so it sends no RPC. Each
-// component is counted on its OST, or on a replicated mount on its first
-// clean live replica. Callers hold fs.mu.
+// component is counted on its first clean copy. Callers hold fs.mu.
 func (fs *FS) totalExtentsLocked(f *file) (int, error) {
 	total := 0
 	for c, obj := range f.objects {
-		r := c
-		if fs.rep != nil {
-			var ok bool
-			if r, obj, ok = fs.rep.ReadReplica(f.ino, c); !ok {
-				return 0, fmt.Errorf("pfs: no readable replica for component %d", c)
-			}
+		r, ok := fs.cleanCopyLocked(f.ino, c)
+		if !ok {
+			return 0, fmt.Errorf("pfs: no readable replica for component %d", c)
 		}
 		n, err := fs.osts[r].ExtentCount(obj)
 		if err != nil {
@@ -853,17 +890,32 @@ func (fs *FS) writeThroughLocked(f *file, stream core.StreamID, blk, count int64
 	if err != nil {
 		return err
 	}
-	if fs.rep != nil {
-		if err := fs.repWriteLocked(f, stream, blk, count); err != nil {
+	// Each piece fans out to every live copy of its component. On a
+	// replicated mount a copy whose write fails at the transport layer is
+	// skipped and goes stale; the write fails only when a piece gets no
+	// acknowledgement at all.
+	pieces := fs.appendStripeRange(fs.stripeScratch[:0], blk, count)
+	fs.stripeScratch = pieces
+	for _, p := range pieces {
+		obj := f.objects[p.ostIdx]
+		targets, err := fs.writeTargetsLocked(f.ino, p.ostIdx)
+		if err != nil {
 			return err
 		}
-	} else {
-		pieces := fs.appendStripeRange(fs.stripeScratch[:0], blk, count)
-		fs.stripeScratch = pieces
-		for _, p := range pieces {
-			if err := fs.ostc[p.ostIdx].Write(f.objects[p.ostIdx], stream, p.logical, p.count); err != nil {
+		acks := 0
+		for _, r := range targets {
+			if err := fs.ostc[r].Write(obj, stream, p.logical, p.count); err != nil {
+				if fs.skipCopyLocked(err, r) {
+					fs.rep.MarkStale(f.ino, p.ostIdx, r)
+					continue
+				}
 				return err
 			}
+			acks++
+		}
+		if acks == 0 {
+			return fmt.Errorf("pfs: write [%d,+%d): no live replica for component %d",
+				blk, count, p.ostIdx)
 		}
 	}
 	after, err := fs.totalExtentsLocked(f)
@@ -911,17 +963,30 @@ func (h *File) Read(blk, count int64) error {
 }
 
 // readThroughLocked fetches count blocks at file-logical block blk across
-// the stripe — the uncached read path, also the cache's fetch target.
-// Callers hold fs.mu.
+// the stripe — the uncached read path, also the cache's fetch target. Each
+// piece is served by one picked copy of its component, and fails over to
+// the next pick when that copy fails at the transport layer. Callers hold
+// fs.mu.
 func (fs *FS) readThroughLocked(f *file, blk, count int64) error {
-	if fs.rep != nil {
-		return fs.repReadLocked(f, blk, count)
-	}
 	pieces := fs.appendStripeRange(fs.stripeScratch[:0], blk, count)
 	fs.stripeScratch = pieces
 	for _, p := range pieces {
-		if err := fs.ostc[p.ostIdx].Read(f.objects[p.ostIdx], p.logical, p.count); err != nil {
-			return err
+		var tried []int
+		for {
+			r, ok := fs.readPickLocked(f.ino, p.ostIdx, tried)
+			if !ok {
+				return fmt.Errorf("pfs: read [%d,+%d): no readable replica for component %d",
+					blk, count, p.ostIdx)
+			}
+			err := fs.ostc[r].Read(f.objects[p.ostIdx], p.logical, p.count)
+			if err == nil {
+				break
+			}
+			if !fs.skipCopyLocked(err, r) {
+				return err
+			}
+			fs.rep.NoteFailover(f.ino, p.ostIdx, r)
+			tried = append(tried, r)
 		}
 	}
 	return nil
@@ -943,14 +1008,20 @@ func (h *File) Truncate(sizeBlocks int64) error {
 	if err := fs.flushFileLocked(h.f, "truncate-barrier", sp); err != nil {
 		return err
 	}
-	if fs.rep != nil {
-		if err := fs.repTruncateLocked(h.f, sizeBlocks); err != nil {
-			return err
-		}
-	} else {
-		for i := range fs.osts {
-			if err := fs.ostc[i].Truncate(h.f.objects[i], fs.componentBlocks(sizeBlocks, i)); err != nil {
+	// Copies on down servers miss the mutation and go stale.
+	for c, obj := range h.f.objects {
+		n := fs.componentBlocks(sizeBlocks, c)
+		for _, m := range fs.copiesLocked(h.f.ino, c) {
+			if m.Down {
+				fs.rep.MarkStale(h.f.ino, c, m.OST)
+				continue
+			}
+			lost, err := fs.maintainErrLocked(fs.ostc[m.OST].Truncate(obj, n), m.OST)
+			if err != nil {
 				return err
+			}
+			if lost {
+				fs.rep.MarkStale(h.f.ino, c, m.OST)
 			}
 		}
 	}
@@ -974,12 +1045,16 @@ func (h *File) Fsync() error {
 	if err := fs.flushFileLocked(h.f, "fsync-barrier", sp); err != nil {
 		return err
 	}
-	if fs.rep != nil {
-		return fs.repFsyncLocked(h.f)
-	}
-	for i := range fs.osts {
-		if err := fs.ostc[i].Fsync(h.f.objects[i]); err != nil {
-			return err
+	// Skipping a down server is harmless: its copy is already stale for
+	// the writes being forced.
+	for c, obj := range h.f.objects {
+		for _, m := range fs.copiesLocked(h.f.ino, c) {
+			if m.Down {
+				continue
+			}
+			if _, err := fs.maintainErrLocked(fs.ostc[m.OST].Fsync(obj), m.OST); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -998,31 +1073,43 @@ func (h *File) Close() error {
 	if err := fs.flushFileLocked(h.f, "close-barrier", sp); err != nil {
 		return err
 	}
-	if fs.rep != nil {
-		return fs.repCloseLocked(h.f)
-	}
 	var layout []extent.Extent
-	for i := range fs.osts {
-		if err := fs.ostc[i].CloseObject(h.f.objects[i]); err != nil {
-			return err
+	for c, obj := range h.f.objects {
+		for _, m := range fs.copiesLocked(h.f.ino, c) {
+			if m.Down {
+				continue
+			}
+			if _, err := fs.maintainErrLocked(fs.ostc[m.OST].CloseObject(obj), m.OST); err != nil {
+				return err
+			}
 		}
-		exts, err := fs.ostc[i].Extents(h.f.objects[i])
-		if err != nil {
-			return err
-		}
-		// The MDS records a bounded per-component summary that fits the
-		// inode tail in the common case ("in most cases, the file layout
-		// mapping is stuffed in the inode"); the full maps stay at the
-		// servers.
-		if len(exts) > 0 && len(layout) < extent.InlineSummary {
-			layout = append(layout, extent.Extent{
-				Logical:  int64(i),
-				Physical: exts[0].Physical,
-				Count:    exts[0].Count,
-			})
+		// The MDS records a bounded per-component summary, read from one
+		// clean copy, that fits the inode tail in the common case ("in most
+		// cases, the file layout mapping is stuffed in the inode"); the full
+		// maps stay at the servers. A fully degraded component contributes
+		// nothing.
+		for {
+			r, ok := fs.cleanCopyLocked(h.f.ino, c)
+			if !ok {
+				break
+			}
+			exts, err := fs.ostc[r].Extents(obj)
+			if err != nil {
+				if !fs.skipCopyLocked(err, r) {
+					return err
+				}
+				fs.rep.NoteFailover(h.f.ino, c, r)
+				continue
+			}
+			if len(exts) > 0 && len(layout) < extent.InlineSummary {
+				layout = append(layout, extent.Extent{
+					Logical:  int64(c),
+					Physical: exts[0].Physical,
+					Count:    exts[0].Count,
+				})
+			}
+			break
 		}
 	}
-	all := make([]extent.Extent, 0, len(layout))
-	all = append(all, layout...)
-	return fs.mdsc.SetLayout(h.f.ino, all)
+	return fs.mdsc.SetLayout(h.f.ino, layout)
 }

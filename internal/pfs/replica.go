@@ -1,13 +1,17 @@
 package pfs
 
-// This file is the replicated data path of the mount: every branch the
-// unreplicated code takes through one OST per stripe piece, taken here
-// through a component's replica set instead. Writes fan out to all live
-// copies (all-replicas-ack: every live member must acknowledge, members on
-// down servers are skipped and marked stale), reads steer to the
-// least-loaded clean copy and fail over on transport errors, and the
-// repair loop executes the plans the replica manager produces. The manager
-// itself issues no RPCs — the lock order stays fs.mu, then manager.mu.
+// This file is the copy model behind the mount's data path. Every stripe
+// component has one or more copies, and each data operation in pfs.go is a
+// single loop over them: writes fan out to all live copies
+// (all-replicas-ack: every live copy must acknowledge; copies on down
+// servers are skipped and marked stale), reads go to one picked copy and
+// fail over on transport errors, and maintenance operations visit every
+// live copy. An unreplicated mount is the one-copy case: component c's only
+// copy is OST c, it is never down or stale, and every RPC error is the
+// operation's. On a replicated mount the replica manager supplies the
+// copies, their down/stale state and the read steering, and the repair loop
+// here executes the plans it produces. The manager itself issues no RPCs —
+// the lock order stays fs.mu, then manager.mu.
 
 import (
 	"errors"
@@ -15,8 +19,7 @@ import (
 
 	"redbud/internal/core"
 	"redbud/internal/crashsim"
-	"redbud/internal/extent"
-	"redbud/internal/ost"
+	"redbud/internal/inode"
 	"redbud/internal/replica"
 	"redbud/internal/rpc"
 	"redbud/internal/sim"
@@ -56,247 +59,86 @@ func (fs *FS) repPlaceInputsLocked() []replica.PlaceInput {
 	return in
 }
 
-// repCreateLocked creates a replicated file: the MDS places one replica set
-// per stripe component from the client's observations, then the component
-// objects are created on every placed server. A server that fails its
-// create is marked down and its copy starts stale (the repair engine will
-// build it); the create succeeds as long as each component has at least one
-// live copy. Callers hold fs.mu.
-func (fs *FS) repCreateLocked(f *file) error {
-	comps := len(fs.osts)
-	sets, err := fs.mdsc.PlaceReplicas(f.ino, comps, fs.rep.RF(), fs.repPlaceInputsLocked())
-	if err != nil {
-		return err
-	}
-	perOST := fs.componentSizeHint(f.sizeHint)
-	for c, set := range sets {
-		id := ost.ObjectID(fs.nextObj + 1)
-		fs.nextObj++
-		acks := 0
-		for _, r := range set {
-			if fs.rep.Down(r) {
-				continue
-			}
-			if err := fs.ostc[r].CreateObject(id, perOST); err != nil {
-				if repSuspect(err) {
-					fs.rep.MarkDown(r)
-					continue
-				}
-				return err
-			}
-			acks++
-		}
-		if acks == 0 {
-			return fmt.Errorf("pfs: create: no live replica for component %d", c)
-		}
-		f.objects = append(f.objects, id)
-		fs.rep.Add(f.ino, c, id, set)
-	}
-	if fs.cfg.Policy == PolicyStatic && f.sizeHint > 0 {
-		for c := range sets {
-			n := fs.componentBlocks(f.sizeHint, c)
-			if n == 0 {
-				continue
-			}
-			members, obj, _ := fs.rep.Members(f.ino, c)
-			for _, m := range members {
-				if m.Down || m.Stale {
-					continue
-				}
-				if err := fs.ostc[m.OST].Fallocate(obj, core.StreamID{}, n); err != nil {
-					if repSuspect(err) {
-						fs.rep.MarkDown(m.OST)
-						fs.rep.MarkStale(f.ino, c, m.OST)
-						continue
-					}
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// repWriteLocked fans each stripe piece out to every live replica of its
-// component. A replica whose write fails at the transport layer is marked
-// down and stale rather than failing the client write; the write errors
-// only when a piece gets no acknowledgement at all. writeThroughLocked
-// charges the extent churn around it. Callers hold fs.mu.
-func (fs *FS) repWriteLocked(f *file, stream core.StreamID, blk, count int64) error {
-	pieces := fs.appendStripeRange(fs.stripeScratch[:0], blk, count)
-	fs.stripeScratch = pieces
-	for _, p := range pieces {
-		obj, targets, err := fs.rep.WriteTargets(f.ino, p.ostIdx)
-		if err != nil {
-			return err
-		}
-		acks := 0
-		for _, r := range targets {
-			if err := fs.ostc[r].Write(obj, stream, p.logical, p.count); err != nil {
-				if repSuspect(err) {
-					fs.rep.MarkDown(r)
-					fs.rep.MarkStale(f.ino, p.ostIdx, r)
-					continue
-				}
-				return err
-			}
-			acks++
-		}
-		if acks == 0 {
-			return fmt.Errorf("pfs: write [%d,+%d): no live replica for component %d",
-				blk, count, p.ostIdx)
-		}
-	}
-	return nil
-}
-
-// repReadLocked serves each stripe piece from one steered replica: the
-// least-loaded clean live copy, retried on the next-best copy when the pick
-// fails at the transport layer. Callers hold fs.mu.
-func (fs *FS) repReadLocked(f *file, blk, count int64) error {
-	load := func(i int) sim.Ns { return fs.osts[i].Disk().Stats().BusyNs }
-	pieces := fs.appendStripeRange(fs.stripeScratch[:0], blk, count)
-	fs.stripeScratch = pieces
-	for _, p := range pieces {
-		var tried []int
-		for {
-			r, obj, ok := fs.rep.SteerRead(f.ino, p.ostIdx, tried, load)
-			if !ok {
-				return fmt.Errorf("pfs: read [%d,+%d): no readable replica for component %d",
-					blk, count, p.ostIdx)
-			}
-			err := fs.ostc[r].Read(obj, p.logical, p.count)
-			if err == nil {
-				break
-			}
-			if !repSuspect(err) {
-				return err
-			}
-			fs.rep.MarkDown(r)
-			fs.rep.NoteFailover(f.ino, p.ostIdx, r)
-			tried = append(tried, r)
-		}
-	}
-	return nil
-}
-
-// repTruncateLocked truncates every live copy of every component; members
-// on down servers miss the mutation and go stale. An application error is
-// tolerated — a stale member created while its server was down never got
-// the object, and stays stale for the repair engine. Callers hold fs.mu.
-func (fs *FS) repTruncateLocked(f *file, sizeBlocks int64) error {
-	for c := range f.objects {
-		members, obj, ok := fs.rep.Members(f.ino, c)
-		if !ok {
-			continue
-		}
-		for _, m := range members {
-			if m.Down {
-				fs.rep.MarkStale(f.ino, c, m.OST)
-				continue
-			}
-			if err := fs.ostc[m.OST].Truncate(obj, fs.componentBlocks(sizeBlocks, c)); err != nil {
-				if repSuspect(err) {
-					fs.rep.MarkDown(m.OST)
-					fs.rep.MarkStale(f.ino, c, m.OST)
-				}
-				continue
-			}
-		}
-	}
-	return nil
-}
-
-// repFsyncLocked forces buffered writes on every live copy. Skipping a down
-// server is harmless — its copy is already stale for the writes being
-// forced — and application errors (no object on a stale member) likewise.
+// copiesLocked returns the copies of component c with their down/stale
+// state. An unreplicated mount's only copy is OST c, never down or stale.
 // Callers hold fs.mu.
-func (fs *FS) repFsyncLocked(f *file) error {
-	for c := range f.objects {
-		members, obj, ok := fs.rep.Members(f.ino, c)
-		if !ok {
-			continue
-		}
-		for _, m := range members {
-			if m.Down {
-				continue
-			}
-			if err := fs.ostc[m.OST].Fsync(obj); err != nil && repSuspect(err) {
-				fs.rep.MarkDown(m.OST)
-			}
-		}
+func (fs *FS) copiesLocked(ino inode.Ino, c int) []replica.MemberState {
+	if fs.rep == nil {
+		return fs.solo[c : c+1]
 	}
-	return nil
+	members, _, _ := fs.rep.Members(ino, c)
+	return members
 }
 
-// repCloseLocked releases reservations on every live copy and records the
-// layout summary at the MDS from one clean replica per component, like the
-// unreplicated close. Callers hold fs.mu.
-func (fs *FS) repCloseLocked(f *file) error {
-	var layout []extent.Extent
-	for c := range f.objects {
-		members, obj, ok := fs.rep.Members(f.ino, c)
-		if !ok {
-			continue
-		}
-		for _, m := range members {
-			if m.Down {
-				continue
-			}
-			if err := fs.ostc[m.OST].CloseObject(obj); err != nil && repSuspect(err) {
-				fs.rep.MarkDown(m.OST)
-			}
-		}
-		for {
-			r, robj, ok := fs.rep.ReadReplica(f.ino, c)
-			if !ok {
-				break // fully degraded component: no summary contribution
-			}
-			exts, err := fs.ostc[r].Extents(robj)
-			if err != nil {
-				if repSuspect(err) {
-					fs.rep.MarkDown(r)
-					fs.rep.NoteFailover(f.ino, c, r)
-					continue
-				}
-				return err
-			}
-			if len(exts) > 0 && len(layout) < extent.InlineSummary {
-				layout = append(layout, extent.Extent{
-					Logical:  int64(c),
-					Physical: exts[0].Physical,
-					Count:    exts[0].Count,
-				})
-			}
-			break
-		}
+// writeTargetsLocked returns the copies a write to component c fans out
+// to: every live copy, stale ones included (copies on down servers are
+// skipped and go stale). Callers hold fs.mu.
+func (fs *FS) writeTargetsLocked(ino inode.Ino, c int) ([]int, error) {
+	if fs.rep == nil {
+		return fs.soloSets[c], nil
 	}
-	all := make([]extent.Extent, 0, len(layout))
-	all = append(all, layout...)
-	return fs.mdsc.SetLayout(f.ino, all)
+	_, targets, err := fs.rep.WriteTargets(ino, c)
+	return targets, err
 }
 
-// repDeleteLocked removes every reachable copy of the file's objects.
-// Copies on down servers are orphaned (the revived server's object is
-// garbage the simulator tolerates); application errors mean the copy never
-// existed. Callers hold fs.mu.
-func (fs *FS) repDeleteLocked(f *file) error {
-	for c := range f.objects {
-		members, obj, ok := fs.rep.Members(f.ino, c)
-		if !ok {
-			continue
-		}
-		for _, m := range members {
-			if m.Down {
-				continue
-			}
-			if err := fs.ostc[m.OST].Delete(obj); err != nil && repSuspect(err) {
-				fs.rep.MarkDown(m.OST)
-			}
-		}
+// readPickLocked returns the copy a read of component c goes to: on a
+// replicated mount the least-loaded clean live copy not yet tried. ok is
+// false when no readable copy remains. Callers hold fs.mu.
+func (fs *FS) readPickLocked(ino inode.Ino, c int, tried []int) (int, bool) {
+	if fs.rep == nil {
+		return c, true
 	}
-	fs.rep.Remove(f.ino)
-	return nil
+	load := func(i int) sim.Ns { return fs.osts[i].Disk().Stats().BusyNs }
+	r, _, ok := fs.rep.SteerRead(ino, c, tried, load)
+	return r, ok
+}
+
+// cleanCopyLocked returns component c's first clean live copy — the pick
+// for bookkeeping that must not perturb read steering (extent counts, the
+// close-time layout summary). Callers hold fs.mu.
+func (fs *FS) cleanCopyLocked(ino inode.Ino, c int) (int, bool) {
+	if fs.rep == nil {
+		return c, true
+	}
+	r, _, ok := fs.rep.ReadReplica(ino, c)
+	return r, ok
+}
+
+// downLocked reports whether the client suspects OST i is unreachable.
+// Callers hold fs.mu.
+func (fs *FS) downLocked(i int) bool {
+	return fs.rep != nil && fs.rep.Down(i)
+}
+
+// skipCopyLocked reports whether an operation may carry on past a failed
+// RPC to copy r. On an unreplicated mount it never may: the one copy's
+// error is the operation's. On a replicated mount a transport failure may
+// be skipped, and marks the server down. Callers hold fs.mu.
+func (fs *FS) skipCopyLocked(err error, r int) bool {
+	if fs.rep == nil || !repSuspect(err) {
+		return false
+	}
+	fs.rep.MarkDown(r)
+	return true
+}
+
+// maintainErrLocked applies the error rule of truncate, fsync, close and
+// delete to the result of an RPC to copy r. A transport failure is skipped
+// as in skipCopyLocked (lost reports it). An application error is returned
+// on an unreplicated mount but tolerated on a replicated one, where a
+// member created while its server was unreachable holds no object (see
+// remarkStaleLocked). Callers hold fs.mu.
+func (fs *FS) maintainErrLocked(err error, r int) (lost bool, _ error) {
+	if err == nil {
+		return false, nil
+	}
+	if fs.skipCopyLocked(err, r) {
+		return true, nil
+	}
+	if fs.rep == nil {
+		return false, err
+	}
+	return false, nil
 }
 
 // CrashOST blackholes IO server i at the transport: every RPC to it is

@@ -3,6 +3,7 @@ package pfs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"testing"
 
 	"redbud/internal/core"
@@ -257,9 +258,9 @@ func TestReviveClearsSuspicionAndCatchesUp(t *testing.T) {
 }
 
 // TestRF1PathIsByteIdentical is the compatibility guard: a mount configured
-// with Replication RF=1 must run the legacy unreplicated code and produce
-// exactly the telemetry (metrics and simulated clock) of a mount with no
-// replication config at all.
+// with Replication RF=1 must mount no replica manager (one copy per
+// component) and produce exactly the telemetry (metrics and simulated
+// clock) of a mount with no replication config at all.
 func TestRF1PathIsByteIdentical(t *testing.T) {
 	run := func(rc *replica.Config) ([]byte, sim.Ns) {
 		cfg := MiF(4)
@@ -305,5 +306,63 @@ func TestRF1PathIsByteIdentical(t *testing.T) {
 	if !bytes.Equal(baseSnap, rf1Snap) {
 		t.Fatalf("RF=1 telemetry diverged from the unreplicated mount:\n%s\nvs\n%s",
 			baseSnap, rf1Snap)
+	}
+}
+
+// TestUnreplicatedCrashedOSTSurfacesError pins the one-copy error rules: on
+// an unreplicated mount a component's only copy is never skipped, so every
+// data operation touching a crashed OST returns the exhausted-retries error
+// instead of degrading, and the failure leaves no suspicion behind once the
+// server is revived.
+func TestUnreplicatedCrashedOSTSurfacesError(t *testing.T) {
+	cfg := MiF(4)
+	cfg.RPC.Fault = &rpc.FaultConfig{Seed: 1}
+	cfg.RPC.Retry = &rpc.RetryPolicy{TimeoutNs: 2 * sim.Millisecond, MaxRetries: 2}
+	fs, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := core.StreamID{Client: 1, PID: 1}
+	f, err := fs.Create(fs.Root(), "u.dat", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Write(stream, 0, 256); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.CrashOST(1); err != nil {
+		t.Fatal(err)
+	}
+	// Block 64 starts the second stripe unit, which lives on OST 1.
+	for _, op := range []struct {
+		name string
+		run  func() error
+	}{
+		{"write", func() error { return f.Write(stream, 64, 8) }},
+		{"read", func() error { return f.Read(64, 8) }},
+		{"truncate", func() error { return f.Truncate(128) }},
+		{"fsync", f.Fsync},
+		{"close", f.Close},
+		{"delete", func() error { return fs.Delete(fs.Root(), "u.dat") }},
+	} {
+		if err := op.run(); !errors.Is(err, rpc.ErrRetriesExhausted) {
+			t.Errorf("%s with ost1 crashed: err = %v, want %v", op.name, err, rpc.ErrRetriesExhausted)
+		}
+	}
+	if err := fs.ReviveOST(1); err != nil {
+		t.Fatal(err)
+	}
+	g, err := fs.Create(fs.Root(), "v.dat", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Write(stream, 0, 256); err != nil {
+		t.Fatalf("write after revive: %v", err)
+	}
+	if err := g.Read(0, 256); err != nil {
+		t.Fatalf("read after revive: %v", err)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatalf("close after revive: %v", err)
 	}
 }

@@ -43,8 +43,9 @@ import (
 // Config tunes replication. The zero value is invalid; start from
 // DefaultConfig.
 type Config struct {
-	// RF is the replication factor: copies per stripe component. 1 keeps
-	// the mount on the unreplicated path.
+	// RF is the replication factor: copies per stripe component. A mount
+	// with RF <= 1 creates no Manager; each component's one copy lives on
+	// its own OST.
 	RF int
 	// SliceBlocks is the largest number of blocks one repair step copies —
 	// the preemption granularity, as in the defrag mover.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"runtime"
 
 	"redbud/internal/cache"
 	"redbud/internal/core"
@@ -28,10 +29,6 @@ type CrashSweepConfig struct {
 	Points []string
 	// Metrics, when set, receives layer=crash telemetry.
 	Metrics *telemetry.Registry
-	// FsckWorkers is the scan-stage worker-pool width for every metadata
-	// fsck the sweep runs (recovery and baseline verification). Zero or
-	// one means serial; reports are byte-identical at any width.
-	FsckWorkers int
 }
 
 // DefaultCrashSweepConfig returns the full-registry sweep shape.
@@ -62,9 +59,8 @@ type crashTarget struct {
 	reg *telemetry.Registry
 }
 
-// crashSweepMount builds the run's mount: 3 IO servers, 2-way replication
-// (which also forces the serial data path the injector requires), a fault
-// transport for the crash/revive control plane, a short retry policy so
+// crashSweepMount builds the run's mount: 3 IO servers, 2-way replication,
+// a fault transport for the crash/revive control plane, a short retry policy so
 // the blackhole phase doesn't dominate, and a client cache so the barrier
 // points are live.
 func (t *crashTarget) crashSweepMount(in *crashsim.Injector) error {
@@ -79,7 +75,6 @@ func (t *crashTarget) crashSweepMount(in *crashsim.Injector) error {
 	fsCfg.RPC.Retry = &rpc.RetryPolicy{TimeoutNs: 2 * sim.Millisecond, MaxRetries: 2}
 	fsCfg.Crash = in
 	fsCfg.Metrics = t.reg
-	fsCfg.FsckWorkers = t.cfg.FsckWorkers
 	fs, err := pfs.New(fsCfg)
 	if err != nil {
 		return err
@@ -279,7 +274,9 @@ func (t *crashTarget) Verify() []string {
 			v = append(v, "repair drain did not restore full redundancy")
 		}
 	} else {
-		if rep := fs.MDS().FS().FsckWith(mdfs.FsckOptions{Workers: t.cfg.FsckWorkers}); !rep.Clean() {
+		// The fsck report is byte-identical at any scan width, so the
+		// check uses every core the host gives it.
+		if rep := fs.MDS().FS().FsckWith(mdfs.FsckOptions{Workers: runtime.GOMAXPROCS(0)}); !rep.Clean() {
 			for _, p := range rep.Problems {
 				v = append(v, "mdfs: "+p)
 			}
